@@ -99,6 +99,15 @@ class ScanInfo:
     is the quantity ``Talone`` needs (see DESIGN.md).  The literal
     ready-based sets are also collected so the estimator-basis ablation
     can quantify the difference (``stfm-sim run ablate-estimator``).
+
+    Issued-bank contract: readers look only at what concerns the command
+    being issued — the issued bank's entry of ``waiting_threads_by_bank``,
+    ``ready_threads_by_bank`` and ``oldest_row_access_arrival``, and,
+    when the command is a column access, the two channel-wide column
+    sets.  The naive kernel's scans fill every field for every bank;
+    the event kernel's issue-time scans (``_read_scan_info`` /
+    ``_write_scan_info``) fill exactly the fields above and leave the
+    rest empty.  A new reader of any other field must widen both.
     """
 
     channel: int
@@ -459,7 +468,7 @@ class MemoryController:
             if candidate is None:
                 return
             if self.policy.needs_scan:
-                scan = self._write_scan_info(channel.index, queues)
+                scan = self._write_scan_info(channel.index, queues, candidate)
             else:
                 scan = ScanInfo(channel.index)
             self._issue(channel, candidate, scan, now)
@@ -471,7 +480,7 @@ class MemoryController:
         if candidate is None:
             return
         if self.policy.needs_scan:
-            scan = self._read_scan_info(channel, queues, per_bank)
+            scan = self._read_scan_info(channel, queues, per_bank, candidate)
         else:
             scan = ScanInfo(channel.index)
         self._issue(channel, candidate, scan, now)
@@ -601,20 +610,27 @@ class MemoryController:
                 lst.append(candidate)
         return per_bank
 
-    def _write_scan_info(self, channel_index: int, queues) -> ScanInfo:
-        """Materialize the scan side-info `_scan_writes` would have built
-        (only called at issue time for policies with ``needs_scan``)."""
+    def _write_scan_info(
+        self, channel_index: int, queues, candidate: CommandCandidate
+    ) -> ScanInfo:
+        """The part of `_scan_writes`'s side-info that readers of
+        ``candidate``'s issue use (ScanInfo's issued-bank contract)."""
         scan = ScanInfo(channel_index)
-        for bank_index, bank_queue in enumerate(queues.bank_queues):
-            if not bank_queue:
-                continue
-            threads = {r.thread_id for r in bank_queue}
+        bank_queues = queues.bank_queues
+        bank_index = candidate.bank_index
+        queue = bank_queues[bank_index]
+        if queue:
+            threads = {r.thread_id for r in queue}
             scan.waiting_threads_by_bank[bank_index] = threads
-            scan.waiting_column_threads.update(threads)
             # During drains, queued reads stand in for ready reads in
             # both accounting bases (the issuing bank was free).
             scan.ready_threads_by_bank[bank_index] = set(threads)
-            scan.ready_column_threads.update(threads)
+        if candidate.is_column:
+            column_threads = scan.waiting_column_threads
+            for bank_queue in bank_queues:
+                for request in bank_queue:
+                    column_threads.add(request.thread_id)
+            scan.ready_column_threads.update(column_threads)
         return scan
 
     def _read_scan_info(
@@ -622,8 +638,10 @@ class MemoryController:
         channel: Channel,
         queues,
         per_bank: dict[int, list[CommandCandidate]],
+        candidate: CommandCandidate,
     ) -> ScanInfo:
-        """Materialize the scan side-info `_scan_reads` would have built.
+        """The part of `_scan_reads`'s side-info that readers of
+        ``candidate``'s issue use (ScanInfo's issued-bank contract).
 
         Called at issue time, before any state mutates, so the live
         queues and open rows are exactly what the naive scan saw; the
@@ -631,34 +649,44 @@ class MemoryController:
         """
         scan = ScanInfo(channel.index)
         banks = channel.banks
-        for bank_index, queue in enumerate(queues.bank_queues):
-            if not queue:
-                continue
-            open_row = banks[bank_index].open_row
-            waiting_threads: set[int] = set()
-            oldest_row_access: "int | None" = None
-            for request in queue:
-                waiting_threads.add(request.thread_id)
-                if open_row is not None and request.row == open_row:
-                    scan.waiting_column_threads.add(request.thread_id)
-                elif (
-                    oldest_row_access is None
-                    or request.arrival < oldest_row_access
-                ):
-                    oldest_row_access = request.arrival
-            candidates = per_bank.get(bank_index)
-            if candidates:
-                scan.ready_threads_by_bank[bank_index] = {
-                    c.thread_id for c in candidates
-                }
-                scan.ready_column_threads.update(
-                    c.thread_id
-                    for c in candidates
-                    if c.is_column and c.channel_ready
-                )
-            scan.waiting_threads_by_bank[bank_index] = waiting_threads
-            if oldest_row_access is not None:
-                scan.oldest_row_access_arrival[bank_index] = oldest_row_access
+        bank_queues = queues.bank_queues
+        bank_index = candidate.bank_index
+        open_row = banks[bank_index].open_row
+        waiting_threads: set[int] = set()
+        oldest_row_access: "int | None" = None
+        for request in bank_queues[bank_index]:
+            waiting_threads.add(request.thread_id)
+            if request.row != open_row and (
+                oldest_row_access is None or request.arrival < oldest_row_access
+            ):
+                oldest_row_access = request.arrival
+        scan.waiting_threads_by_bank[bank_index] = waiting_threads
+        if oldest_row_access is not None:
+            scan.oldest_row_access_arrival[bank_index] = oldest_row_access
+        scan.ready_threads_by_bank[bank_index] = {
+            c.thread_id for c in per_bank[bank_index]
+        }
+        if candidate.is_column:
+            # A bank with candidates is free, so its list holds a column
+            # candidate for every row hit; a busy bank offers none, and
+            # its row hits come from the queue itself.
+            waiting_columns = scan.waiting_column_threads
+            ready_columns = scan.ready_column_threads
+            for index, queue in enumerate(bank_queues):
+                row = banks[index].open_row
+                if row is None:
+                    continue
+                candidates = per_bank.get(index)
+                if candidates is None:
+                    for request in queue:
+                        if request.row == row:
+                            waiting_columns.add(request.thread_id)
+                    continue
+                for other in candidates:
+                    if other.is_column:
+                        waiting_columns.add(other.thread_id)
+                        if other.channel_ready:
+                            ready_columns.add(other.thread_id)
         return scan
 
     # -- inert-window analysis (event kernel) --------------------------------

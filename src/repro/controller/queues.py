@@ -130,6 +130,12 @@ class RequestQueues:
     def queued_reads(self, thread_id: int) -> int:
         return self._queued_reads[thread_id]
 
+    @property
+    def queued_read_counts(self) -> list[int]:
+        """Queued reads per thread — the live list, read-only to callers
+        (STFM's per-cycle decision scans it without copying)."""
+        return self._queued_reads
+
     def threads_with_reads(self) -> list[int]:
         """Threads that currently have at least one queued read."""
         return [t for t in range(self.num_threads) if self._queued_reads[t]]

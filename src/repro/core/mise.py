@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from repro.core.registers import SLOWDOWN_CAP
 from repro.dram.commands import CommandCandidate
-from repro.schedulers.base import SchedulingPolicy
+from repro.schedulers.base import SchedulingPolicy, fairness_rule_select
 
 
 class ServiceRateEstimator:
@@ -230,6 +230,16 @@ class MiseStfmPolicy(SchedulingPolicy):
         return 1.0 + (raw - 1.0) * self.weights[thread_id]
 
     # -- prioritization ----------------------------------------------------
+    def select(self, channel_index, per_bank, now):
+        """:meth:`priority_key`'s order, ranked by integer class (the
+        same fairness-rule select as STFM's, with the sampled thread as
+        the top class)."""
+        return fairness_rule_select(
+            per_bank,
+            self.max_slowdown_thread if self.fairness_mode else None,
+            self.estimator.sampled_thread,
+        )
+
     def priority_key(self, candidate: CommandCandidate, now: int):
         """Sampled thread first (the measurement mechanism), then the
         fairness rule's favored thread, then FR-FCFS order."""

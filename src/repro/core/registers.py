@@ -140,6 +140,51 @@ class StfmRegisters:
         raw = self.slowdown(thread_id, stall_counter)
         return 1.0 + (raw - 1.0) * self.threads[thread_id].weight
 
+    def weighted_extremes(
+        self, stall_counters: list[int], queued_reads: list[int]
+    ) -> "tuple[int, float, int | None, float]":
+        """One pass over the threads with queued reads (STFM's decision).
+
+        Returns ``(active, s_max, t_max, s_min)``: how many threads have
+        ``queued_reads[t] > 0``, and the maximum (with its thread) and
+        minimum of their :meth:`weighted_slowdown`.  Equal to ``max()``
+        and ``min()`` over ``(weighted_slowdown(t), t)`` pairs — a tie
+        on ``s_max`` goes to the largest thread id — but with the
+        slowdown arithmetic inlined, since the controller runs it every
+        DRAM cycle.  :meth:`slowdown` and :meth:`weighted_slowdown`
+        remain the specification; the inlined expressions must stay
+        operation-for-operation identical so the floats match bit for
+        bit.  With no active thread ``t_max`` is None and the slowdowns
+        read 0.
+        """
+        active = 0
+        s_max = s_min = 0.0
+        t_max = None
+        for thread_id, thread in enumerate(self.threads):
+            if not queued_reads[thread_id]:
+                continue
+            shared = stall_counters[thread_id] - thread.tshared_offset
+            if shared <= 0:
+                raw = 1.0
+            else:
+                alone = shared - thread.t_interference
+                if alone <= shared / SLOWDOWN_CAP:
+                    raw = SLOWDOWN_CAP
+                else:
+                    raw = shared / alone
+            weighted = 1.0 + (raw - 1.0) * thread.weight
+            if not active:
+                s_max = s_min = weighted
+                t_max = thread_id
+            else:
+                if weighted >= s_max:
+                    s_max = weighted
+                    t_max = thread_id
+                if weighted < s_min:
+                    s_min = weighted
+            active += 1
+        return active, s_max, t_max, s_min
+
     def add_interference(self, thread_id: int, cycles: float) -> None:
         self.threads[thread_id].t_interference += cycles
 

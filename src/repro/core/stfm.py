@@ -23,7 +23,7 @@ from typing import Callable
 from repro.core.estimator import InterferenceEstimator
 from repro.core.registers import StfmRegisters
 from repro.dram.commands import CommandCandidate
-from repro.schedulers.base import SchedulingPolicy
+from repro.schedulers.base import SchedulingPolicy, fairness_rule_select
 
 
 class StfmPolicy(SchedulingPolicy):
@@ -88,6 +88,10 @@ class StfmPolicy(SchedulingPolicy):
             gamma=self.gamma,
             basis=self.interference_basis,
         )
+        # Per-cycle inputs, looked up once: the DRAM clock and the
+        # queues' live per-thread read counts.
+        self._dram_cycle = controller.timing.dram_cycle
+        self._queued_reads = controller.queues.queued_read_counts
 
     def set_tshared_source(self, source: Callable[[int], int]) -> None:
         """Wire the per-thread memory-stall counters of the cores."""
@@ -116,12 +120,9 @@ class StfmPolicy(SchedulingPolicy):
 
     # -- per-cycle decision --------------------------------------------------
     def begin_cycle(self, now: int) -> None:
-        assert self.controller is not None
         self.total_cycles += 1
         counters = [self._tshared_source(t) for t in range(self.num_threads)]
-        self.registers.advance_interval(
-            self.controller.timing.dram_cycle, counters
-        )
+        self.registers.advance_interval(self._dram_cycle, counters)
         self._decide(counters)
 
     def fast_forward(self, start, ticks, stall_slopes) -> None:
@@ -136,8 +137,7 @@ class StfmPolicy(SchedulingPolicy):
         replay costs O(threads) per cycle instead of the full
         scan-and-schedule tick.
         """
-        assert self.controller is not None
-        dram_cycle = self.controller.timing.dram_cycle
+        dram_cycle = self._dram_cycle
         threads = range(self.num_threads)
         bases = [self._tshared_source(t) for t in threads]
         counters = list(bases)
@@ -156,23 +156,20 @@ class StfmPolicy(SchedulingPolicy):
 
         ``counters`` are the threads' cumulative stall counters as of
         this cycle (live during normal ticks, reconstructed during
-        fast-forward replay).
+        fast-forward replay).  Only threads with a queued read take
+        part; one pass over them yields ``Smax`` (ties to the largest
+        thread id) and ``Smin``.
         """
-        active = self.controller.queues.threads_with_reads()
-        if len(active) < 2:
+        active, s_max, t_max, s_min = self.registers.weighted_extremes(
+            counters, self._queued_reads
+        )
+        self.max_slowdown_thread = t_max
+        if active < 2:
             self.fairness_mode = False
-            self.max_slowdown_thread = active[0] if active else None
             self.last_unfairness = 1.0
             return
-        slowdowns = [
-            (self.registers.weighted_slowdown(t, counters[t]), t)
-            for t in active
-        ]
-        s_max, t_max = max(slowdowns)
-        s_min, _ = min(slowdowns)
         self.last_unfairness = s_max / max(s_min, 1e-9)
         self.fairness_mode = self.last_unfairness > self.alpha
-        self.max_slowdown_thread = t_max
         if self.fairness_mode:
             self.fairness_cycles += 1
 
@@ -180,7 +177,16 @@ class StfmPolicy(SchedulingPolicy):
         """Current raw slowdown estimate of a thread (diagnostics)."""
         return self.registers.slowdown(thread_id, self._tshared_source(thread_id))
 
+    def select(self, channel_index, per_bank, now):
+        """:meth:`priority_key`'s order, ranked by integer class."""
+        return fairness_rule_select(
+            per_bank, self.max_slowdown_thread if self.fairness_mode else None
+        )
+
     def priority_key(self, candidate: CommandCandidate, now: int):
+        """The fairness rule's order (the specification :meth:`select`
+        realizes): most-slowed-down thread first in fairness mode, then
+        column-first, then oldest-first."""
         favored = (
             1
             if self.fairness_mode

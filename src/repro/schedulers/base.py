@@ -148,6 +148,54 @@ class SchedulingPolicy:
         """A request's column command issued; it left the request buffer."""
 
 
+def fairness_rule_select(
+    per_bank: dict[int, list[CommandCandidate]],
+    favored: "int | None",
+    sampled: "int | None" = None,
+) -> CommandCandidate | None:
+    """:meth:`SchedulingPolicy.select` for the fairness rule's key order.
+
+    The key of a candidate is ``(thread == sampled, thread == favored,
+    is_column, -arrival)`` — STFM's fairness rule (Section 3.2.1) with
+    an optional measurement thread above it (MISE-STFM).  The three
+    flags pack into one integer class ``4*sampled + 2*favored +
+    is_column``, so each comparison is an integer test plus an arrival
+    tie-break instead of a tuple built per candidate.  The result is
+    the same object the tuple-keyed select returns: a strictly greater
+    key replaces the incumbent, so the first-seen candidate wins equal
+    keys at both levels.  Pass None for a flag nobody holds.
+    """
+    best: CommandCandidate | None = None
+    best_class = -1
+    best_arrival = 0
+    for candidates in per_bank.values():
+        winner: CommandCandidate | None = None
+        winner_class = -1
+        winner_arrival = 0
+        for candidate in candidates:
+            thread = candidate.thread_id
+            cls = 1 if candidate.is_column else 0
+            if thread == favored:
+                cls += 2
+            if thread == sampled:
+                cls += 4
+            if cls > winner_class or (
+                cls == winner_class and candidate.arrival < winner_arrival
+            ):
+                winner = candidate
+                winner_class = cls
+                winner_arrival = candidate.arrival
+        if winner is None or not winner.channel_ready:
+            continue
+        if winner_class > best_class or (
+            winner_class == best_class and winner_arrival < best_arrival
+        ):
+            best = winner
+            best_class = winner_class
+            best_arrival = winner_arrival
+    return best
+
+
 def oldest(candidates: Iterable[CommandCandidate]) -> CommandCandidate | None:
     """Utility: the earliest-arrival candidate (FCFS tie-break helper)."""
     best = None

@@ -19,10 +19,11 @@ import pytest
 from repro.analysis.protocol import ProtocolSanitizer
 from repro.engine.jobs import build_trace
 from repro.schedulers import make_policy
+from repro.schedulers.frfcfs_cap import FrFcfsCapPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.kernel import KERNEL_ENV, kernel_name
 from repro.sim.system import CmpSystem
-from repro.workloads.spec2006 import BenchmarkSpec
+from repro.workloads.spec2006 import BenchmarkSpec, benchmark
 
 POLICIES = (
     "fr-fcfs",
@@ -67,6 +68,7 @@ def simulate(
     refresh: bool = True,
     mlp_limits: "list[int] | None" = None,
     write_capacity: int = 32,
+    policy_kwargs: "dict | None" = None,
 ) -> dict:
     """Run one workload under ``kernel`` and fingerprint everything."""
     monkeypatch.setenv(KERNEL_ENV, kernel)
@@ -80,7 +82,9 @@ def simulate(
         build_trace(config, seed, spec, budget, i, len(specs))
         for i, spec in enumerate(specs)
     ]
-    policy = make_policy(policy_name, num_threads=len(specs))
+    policy = make_policy(
+        policy_name, num_threads=len(specs), **(policy_kwargs or {})
+    )
     system = CmpSystem(
         config, traces, policy, budget, mlp_limits=mlp_limits
     )
@@ -204,6 +208,48 @@ def test_write_drain_pressure_bit_identical(monkeypatch):
         assert_identical(
             monkeypatch, specs, policy_name, write_capacity=8
         )
+
+
+def heavy_mix() -> "list[BenchmarkSpec]":
+    """A memory-intensive 4-core mix (categories 2-3): queues stay deep,
+    so most commands issue with other threads waiting in the same bank
+    and on the channel — the regime where the issue-time scan side-info
+    is read."""
+    return [benchmark(name) for name in ("mcf", "libquantum", "GemsFDTD", "lbm")]
+
+
+def test_heavy_mix_frfcfs_cap_engages_bit_identical(monkeypatch):
+    """FR-FCFS+Cap reads ``oldest_row_access_arrival`` of the issued
+    bank at every column issue; the cap must actually engage here, or
+    a scan that dropped the field would go unnoticed."""
+    original = FrFcfsCapPolicy.on_command_issued
+    peak = {}
+
+    def recording(self, candidate, scan, now):
+        original(self, candidate, scan, now)
+        counts = self._bypass_counts
+        if counts:
+            peak[kernel_name()] = max(
+                peak.get(kernel_name(), 0), max(counts.values())
+            )
+
+    monkeypatch.setattr(FrFcfsCapPolicy, "on_command_issued", recording)
+    assert_identical(monkeypatch, heavy_mix(), "fr-fcfs+cap")
+    cap = FrFcfsCapPolicy().cap
+    assert peak["event"] >= cap and peak["naive"] >= cap
+
+
+@pytest.mark.parametrize("basis", ["waiting", "ready"])
+def test_heavy_mix_stfm_interference_basis_bit_identical(monkeypatch, basis):
+    """STFM's estimator reads the issued bank's waiting or ready thread
+    set and, for columns, the channel-wide column-thread sets of the
+    chosen basis; both bases must match the naive scan."""
+    assert_identical(
+        monkeypatch,
+        heavy_mix(),
+        "stfm",
+        policy_kwargs={"interference_basis": basis},
+    )
 
 
 def test_single_core_mlp_one_bit_identical(monkeypatch):
