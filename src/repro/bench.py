@@ -6,15 +6,17 @@ story of the codebase is a *trajectory* of committed files rather than
 numbers in commit messages:
 
 * ``bench_fig03`` — cold and warm wall time of the fig3 experiment (the
-  repo's canonical workload), under both the event-driven and the naive
-  kernel; their ratio is the headline ``kernel_speedup``.
+  repo's canonical workload), under both the event (cached-scan) and
+  the naive (eager-scan) kernel; their ratio is the headline
+  ``kernel_speedup``.
 * ``throughput_100k`` / ``throughput_1m`` — raw simulated instructions
   per second of a single 4-core shared run at 100k and 1M instruction
   budgets (the 1M run is the ROADMAP's north-star budget).
 * ``per_policy_kernel_cost`` — event-kernel wall time of one 4-core
   shared run under *every* registered scheduling policy (extensions
-  included), so a policy whose state machine defeats the kernel's
-  inert-window skipping shows up as an outlier in the trajectory.
+  included), so a policy whose per-tick work (``begin_cycle``,
+  ``select``, issue hooks) is costly shows up as an outlier in the
+  trajectory.
 * ``engine_parallel`` — speedup of the experiment engine's process pool
   over its serial path on a small batch.
 * ``service_round_trip`` — submit-to-result latency of a tiny job
@@ -166,8 +168,8 @@ def _time_per_policy(budget: int) -> dict:
 
     Traces are built once and shared (they are immutable); each policy
     gets a fresh system.  The per-policy numbers expose schedulers whose
-    state machines defeat the event kernel's inert-window skipping; the
-    total is the cross-snapshot comparison quantity.
+    per-tick work is costly; the total is the cross-snapshot comparison
+    quantity.
     """
     from repro.engine.jobs import resolve_spec
     from repro.schedulers import make_policy

@@ -30,7 +30,6 @@ class StfmPolicy(SchedulingPolicy):
     """Stall-Time Fair Memory scheduler."""
 
     name = "STFM"
-    uses_stall_slopes = True  # exact per-cycle Tshared replay
 
     def __init__(
         self,
@@ -120,46 +119,14 @@ class StfmPolicy(SchedulingPolicy):
 
     # -- per-cycle decision --------------------------------------------------
     def begin_cycle(self, now: int) -> None:
+        """The fairness-mode decision for this DRAM cycle.
+
+        Only threads with a queued read take part; one pass over them
+        yields ``Smax`` (ties to the largest thread id) and ``Smin``.
+        """
         self.total_cycles += 1
         counters = [self._tshared_source(t) for t in range(self.num_threads)]
         self.registers.advance_interval(self._dram_cycle, counters)
-        self._decide(counters)
-
-    def fast_forward(self, start, ticks, stall_slopes) -> None:
-        """Inert-window replay: run the per-cycle decision ``ticks`` times.
-
-        The decision depends on float slowdowns crossing ``alpha``, so
-        there is no closed form — but during an inert window the stall
-        counters are exactly ``base + slope * elapsed`` (slope 1 for a
-        memory-stalled core, 0 for an idle one) and the queues are
-        frozen, so replaying :meth:`begin_cycle`'s arithmetic with the
-        reconstructed counters is bit-identical to having ticked.  The
-        replay costs O(threads) per cycle instead of the full
-        scan-and-schedule tick.
-        """
-        dram_cycle = self._dram_cycle
-        threads = range(self.num_threads)
-        bases = [self._tshared_source(t) for t in threads]
-        counters = list(bases)
-        for tick in range(ticks):
-            if tick:
-                elapsed = tick * dram_cycle
-                for t in threads:
-                    if stall_slopes[t]:
-                        counters[t] = bases[t] + elapsed
-            self.total_cycles += 1
-            self.registers.advance_interval(dram_cycle, counters)
-            self._decide(counters)
-
-    def _decide(self, counters: list[int]) -> None:
-        """The fairness-mode decision for one DRAM cycle.
-
-        ``counters`` are the threads' cumulative stall counters as of
-        this cycle (live during normal ticks, reconstructed during
-        fast-forward replay).  Only threads with a queued read take
-        part; one pass over them yields ``Smax`` (ties to the largest
-        thread id) and ``Smin``.
-        """
         active, s_max, t_max, s_min = self.registers.weighted_extremes(
             counters, self._queued_reads
         )

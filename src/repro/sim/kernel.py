@@ -1,13 +1,14 @@
-"""Simulation-kernel selection (event-driven vs. naive per-cycle).
+"""Simulation-kernel selection (cached vs. eager candidate scans).
 
-The simulator has two inner-loop implementations that produce
-bit-identical results:
+``CmpSystem.run`` ticks every DRAM cycle under both kernels; they differ
+only in how the memory controller builds its per-channel command
+candidates, and produce bit-identical results:
 
-* ``event`` (default) — the event-driven kernel: the controller caches
-  per-channel candidate scans between state changes and ``CmpSystem.run``
-  jumps over provably-inert cycle ranges (see DESIGN.md §3.14).
-* ``naive`` — the original tick-every-DRAM-cycle loop with eager
-  candidate scans, kept as a differential-testing oracle.
+* ``event`` (default) — the controller caches per-bank candidate lists
+  between bank-state changes and builds the interference side-info only
+  for the command that issues (see DESIGN.md §3.14).
+* ``naive`` — eager candidate scans rebuilt every tick, kept as the
+  differential-testing oracle.
 
 Selection uses the ``STFM_SIM_KERNEL`` environment variable, following
 the same pattern as ``STFM_SIM_SANITIZE`` / ``STFM_SIM_FAULTS``: the
@@ -44,5 +45,5 @@ def kernel_name() -> str:
 
 
 def event_kernel_enabled() -> bool:
-    """True when the event-driven fast path should be used."""
+    """True when the controller should use its cached candidate scans."""
     return kernel_name() == "event"

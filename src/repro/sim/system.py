@@ -77,7 +77,6 @@ class CmpSystem:
                 commit_width=config.commit_width,
                 mshr_count=config.mshr_count,
                 max_outstanding=mlp_limits[i],
-                probe=self.controller.can_accept,
                 on_snapshot=self._on_core_snapshot,
             )
             for i, trace in enumerate(traces)
@@ -122,26 +121,32 @@ class CmpSystem:
         pressure (their statistics are frozen at their own budget
         crossing).  A ``max_cycles`` safety net bounds runaway runs.
 
-        Two kernels produce bit-identical results (DESIGN.md Section
-        3.14): the *naive* kernel ticks every DRAM cycle; the *event*
-        kernel (default) additionally proves windows of ticks inert and
-        jumps over them.  ``STFM_SIM_KERNEL=naive`` selects the former.
+        Every DRAM cycle is live: the controller makes one decision per
+        channel, then each core executes the quantum.  The
+        ``STFM_SIM_KERNEL`` toggle only selects the controller's cached
+        or eager candidate scans, which are bit-identical (DESIGN.md
+        Section 3.14).
         """
-        from repro.sim.kernel import event_kernel_enabled
+        self.advance(self.config.max_cycles)
+        now = self.now
+        return [core.force_snapshot(now) for core in self.cores]
 
-        if event_kernel_enabled():
-            return self._run_event()
-        return self._run_naive()
+    def advance(self, until: int) -> bool:
+        """Tick DRAM cycles until ``now >= until``, every core finished,
+        or ``max_cycles`` is reached.
 
-    def _run_naive(self) -> list[CoreSnapshot]:
-        """Reference kernel: one controller decision every DRAM cycle."""
+        The single run loop: :meth:`run` drives it to the end, and
+        observers (the telemetry sampler) call it between sampling
+        points.  Returns True while the run is unfinished, i.e. some
+        core is still short of its budget.
+        """
         quantum = self.config.timing.dram_cycle
         controller = self.controller
         cores = self.cores
-        max_cycles = self.config.max_cycles
         num_cores = len(cores)
+        end = min(until, self.config.max_cycles)
         now = self.now
-        while now < max_cycles:
+        while now < end:
             controller.tick(now)
             for core in cores:
                 core.step(now, quantum)
@@ -149,144 +154,4 @@ class CmpSystem:
             if self._finished >= num_cores:
                 break
         self.now = now
-        return [core.force_snapshot(now) for core in cores]
-
-    def _run_event(self) -> list[CoreSnapshot]:
-        """Event-driven kernel: skip provably inert DRAM cycles.
-
-        After each live tick the loop asks every component for the first
-        future time it could act — cores via :meth:`Core.quiet_state`,
-        the controller via its in-service completion heap, refresh
-        deadlines, and per-channel readiness bounds.  If that horizon
-        lies beyond the next tick, the skipped window is replayed in
-        closed form: the policy's per-cycle decision via
-        ``fast_forward`` (exact-replay for STFM, collapse-to-one for
-        PAR-BS, no-op for the stateless policies), the cores' stall/idle
-        counters via ``bulk_advance``, and the controller's write-drain
-        hysteresis via ``fast_forward_drain``.  Every replay is
-        bit-identical to having ticked, so both kernels produce the same
-        results (enforced by tests/test_event_kernel.py).
-        """
-        quantum = self.config.timing.dram_cycle
-        controller = self.controller
-        policy = controller.policy
-        cores = self.cores
-        max_cycles = self.config.max_cycles
-        num_cores = len(cores)
-        now = self.now
-        states: list[str | None] = [None] * num_cores
-        while now < max_cycles:
-            issued_before = controller.commands_issued
-            controller.tick(now)
-            for core in cores:
-                core.step(now, quantum)
-            now += quantum
-            if self._finished >= num_cores:
-                break
-            if controller.commands_issued != issued_before:
-                # Issue-gate heuristic: a tick that issued a command is
-                # usually followed by more issue ticks (bursts stream
-                # back-to-back), so the jump analysis would almost
-                # always fail — skip it and retry on the first quiet
-                # tick.  Purely a performance gate: which ticks run
-                # live never changes what they compute.
-                continue
-            horizon = self._quiet_horizon(now, quantum, max_cycles, states)
-            if horizon > now:
-                ticks = (horizon - now) // quantum
-                slopes = [1 if s == "stall" else 0 for s in states]
-                policy.fast_forward(now, ticks, slopes)
-                span = ticks * quantum
-                for core, state in zip(cores, states):
-                    if state == "compute":
-                        core.advance_compute(now, span, quantum)
-                    else:
-                        core.bulk_advance(state, span)
-                controller.fast_forward_drain(ticks)
-                now += span
-                if self._finished >= num_cores:
-                    # The last budget crossing can land exactly on the
-                    # end of a replayed compute window; stop here like
-                    # the naive loop does, not one live tick later.
-                    break
-        self.now = now
-        return [core.force_snapshot(now) for core in cores]
-
-    def _quiet_horizon(
-        self,
-        now: int,
-        quantum: int,
-        max_cycles: int,
-        states: list,
-    ) -> int:
-        """Latest tick before which no scheduling decision can change.
-
-        Ticks ``now .. horizon - quantum`` are inert; the tick at the
-        returned horizon runs live.  Returns ``now`` when any component
-        might act this tick.  ``states`` receives each core's
-        classification ("idle"/"stall"/"compute") for the replay.
-
-        Per-core constraints: the window must end before any core's
-        earliest possible submit (so requests arrive only around live
-        ticks, preserving the naive kernel's core interleaving), and
-        before any committing core can cross its instruction budget (so
-        the run loop's finish check fires on the same quantum).
-        """
-        controller = self.controller
-        horizon = max_cycles
-        # Channels first: a ready candidate is the most common reason a
-        # tick must run live, and the check rides the warm candidate
-        # caches — cheaper than classifying every core only to bail.
-        for channel in controller.channels:
-            bound = controller.channel_quiet_bound(channel, now, quantum)
-            if bound <= now:
-                return now
-            if bound < horizon:
-                horizon = bound
-        uses_slopes = controller.policy.uses_stall_slopes
-        for i, core in enumerate(self.cores):
-            state, bound = core.inertia(now)
-            if state is None:
-                return now
-            states[i] = state
-            if state == "compute":
-                if uses_slopes and core.window_has_inflight(now):
-                    return now
-                if core.snapshot is None:
-                    # Budget-crossing cap: commits cannot outpace the
-                    # commit width, so the crossing quantum is live.
-                    remaining = (
-                        core.instruction_budget - core.committed_instructions
-                    )
-                    width = core.commit_width
-                    cap = now + (
-                        ((remaining + width - 1) // width) // quantum
-                    ) * quantum
-                    if cap <= now:
-                        return now
-                    if cap < horizon:
-                        horizon = cap
-            if bound < horizon:
-                # Stop before the quantum containing the earliest submit.
-                bound = (bound // quantum) * quantum
-                if bound <= now:
-                    return now
-                if bound < horizon:
-                    horizon = bound
-        heap = controller._in_service
-        if heap:
-            # Every pending completion sits in this heap; a core may wake
-            # mid-quantum, so bound by the *floor* tick of the earliest.
-            bound = (heap[0][0] // quantum) * quantum
-            if bound <= now:
-                return now
-            if bound < horizon:
-                horizon = bound
-        if controller.refresh_enabled:
-            for deadline in controller._next_refresh:
-                bound = -(-deadline // quantum) * quantum
-                if bound <= now:
-                    return now
-                if bound < horizon:
-                    horizon = bound
-        return horizon
+        return self._finished < num_cores

@@ -94,23 +94,20 @@ class TelemetrySampler:
     def run(self) -> Telemetry:
         """Run the system to completion, sampling along the way.
 
-        Equivalent to ``system.run()`` but interleaves sampling; returns
-        the recorded telemetry (snapshots are also available on the
+        Equivalent to ``system.run()`` — the system's own loop does the
+        ticking, stopped at each sampling point — and returns the
+        recorded telemetry (snapshots are also available on the
         system/cores as usual).
         """
         system = self.system
         quantum = system.config.timing.dram_cycle
         next_sample = 0
-        max_cycles = system.config.max_cycles
-        while system.now < max_cycles:
+        while system.now < system.config.max_cycles:
             if system.now >= next_sample:
                 self._sample()
                 next_sample += self.period
-            system.controller.tick(system.now)
-            for core in system.cores:
-                core.step(system.now, quantum)
-            system.now += quantum
-            if all(core.snapshot is not None for core in system.cores):
+            # Samples land on the first tick at/after each due point.
+            if not system.advance(max(next_sample, system.now + quantum)):
                 break
         self._sample()
         for core in system.cores:

@@ -1,8 +1,10 @@
-"""Differential tests: event-driven kernel vs the naive reference kernel.
+"""Differential tests: event kernel vs the naive reference kernel.
 
-The event-driven kernel (DESIGN.md §3.14) must be *bit-identical* to the
-tick-every-DRAM-cycle loop it replaces — not statistically close, the
-same numbers.  These tests run randomized workloads through both kernels
+Both kernels tick every DRAM cycle; the event kernel's controller uses
+cached candidate scans (DESIGN.md §3.14) where the naive one rebuilds
+them eagerly each tick.  The two must be *bit-identical* — not
+statistically close, the same numbers.  These tests run randomized
+workloads through both kernels
 (selected via ``STFM_SIM_KERNEL``) across every scheduling policy,
 refresh on/off, write-drain pressure, and MLP limits, and compare full
 result fingerprints: core snapshots, controller counters, per-thread
@@ -153,12 +155,8 @@ def test_randomized_workloads_bit_identical(monkeypatch, policy_name, seed):
 
 @pytest.mark.parametrize("policy_name", ["fr-fcfs", "nfq", "stfm"])
 def test_bursty_compute_gaps_bit_identical(monkeypatch, policy_name):
-    """Regression: fig3-style bursty threads with long pure-compute gaps.
-
-    These exercise the closed-form compute replay
-    (:meth:`repro.cpu.core.Core.advance_compute`); an early bulk-step
-    implementation diverged here by rounding commit cycles per block.
-    """
+    """Regression: fig3-style bursty threads with long pure-compute gaps,
+    during which the candidate caches sit idle for many ticks."""
     bursty = BenchmarkSpec(
         name="bursty",
         itype="SYN",
@@ -191,7 +189,7 @@ def test_bursty_compute_gaps_bit_identical(monkeypatch, policy_name):
 
 def test_write_drain_pressure_bit_identical(monkeypatch):
     """A small write buffer forces frequent drain-mode flips — the
-    drain hysteresis must replay identically across jumps."""
+    write-drain candidate path must match the eager write scan."""
     rng = random.Random(7)
     specs = [random_spec(rng, f"wr-{i}") for i in range(2)]
     specs = [
@@ -253,9 +251,8 @@ def test_heavy_mix_stfm_interference_basis_bit_identical(monkeypatch, basis):
 
 
 def test_single_core_mlp_one_bit_identical(monkeypatch):
-    """Serialized pointer chases (MLP 1) keep the window in lockstep
-    with the in-service heap; the floor/ceil alignment of heap bounds
-    must not drift."""
+    """Serialized pointer chases (MLP 1): one request in flight at a
+    time, so each bank's cache is rebuilt after every completion."""
     rng = random.Random(11)
     spec = random_spec(rng, "chase")
     spec = BenchmarkSpec(
@@ -267,8 +264,8 @@ def test_single_core_mlp_one_bit_identical(monkeypatch):
 @pytest.mark.parametrize("policy_name", ["staged", "bliss", "mise-stfm", "stfm"])
 def test_streaming_agent_mix_bit_identical(monkeypatch, policy_name):
     """A GPU-like streaming agent next to CPU threads: the agent's long
-    bursts and high MLP stress the inert-window bounds, and the staged
-    policy's online classification must replay identically."""
+    row-hit bursts keep column candidates cached across many ticks, and
+    the staged policy's online classification must match."""
     from repro.workloads.streaming import STREAMING_AGENTS
 
     rng = random.Random(23)
@@ -326,6 +323,37 @@ def test_sanitizer_sees_identical_command_stream(monkeypatch):
         assert sanitizer.commands_checked > 0
         streams[kernel] = sanitizer.stream
     assert streams["event"] == streams["naive"]
+
+
+@pytest.mark.parametrize("kernel", ["event", "naive"])
+def test_every_dram_cycle_is_live(monkeypatch, kernel):
+    """The run loop calls ``controller.tick`` once per DRAM cycle it
+    simulates: no cycle is skipped, on either kernel.  A compute-heavy
+    mix (long idle stretches for the memory system) is where a skip
+    would show."""
+    monkeypatch.setenv(KERNEL_ENV, kernel)
+    specs = [benchmark(name) for name in ("povray", "hmmer", "mcf")]
+    config = SystemConfig(num_cores=len(specs))
+    traces = [
+        build_trace(config, 0, spec, 2_000, i, len(specs))
+        for i, spec in enumerate(specs)
+    ]
+    policy = make_policy("stfm", num_threads=len(specs))
+    system = CmpSystem(config, traces, policy, 2_000)
+    controller = system.controller
+    tick = controller.tick
+    calls = []
+
+    def counting_tick(now):
+        calls.append(now)
+        tick(now)
+
+    monkeypatch.setattr(controller, "tick", counting_tick)
+    system.run()
+    quantum = config.timing.dram_cycle
+    assert system.now > 0
+    assert len(calls) == system.now // quantum
+    assert calls == list(range(0, system.now, quantum))
 
 
 def test_naive_escape_hatch_selects_naive(monkeypatch):
