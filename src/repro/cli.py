@@ -453,21 +453,6 @@ def _cmd_chaos(args) -> int:
     return run_chaos(config)
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import BENCH_SEQUENCE, REGRESSION_THRESHOLD, run_bench
-
-    output = args.output or f"BENCH_{BENCH_SEQUENCE}.json"
-    threshold = (
-        args.threshold if args.threshold is not None else REGRESSION_THRESHOLD
-    )
-    return run_bench(
-        output=output,
-        quick=args.quick,
-        check=args.check,
-        threshold=threshold,
-    )
-
-
 def _cmd_tournament(args) -> int:
     import json as json_module
 
@@ -698,31 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stats to PATH",
     )
     tournament_parser.set_defaults(func=_cmd_tournament)
-
-    bench_parser = sub.add_parser(
-        "bench", help="run the pinned performance suite and write a "
-        "BENCH_<n>.json trajectory snapshot (see repro.bench)"
-    )
-    bench_parser.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="snapshot path (default: BENCH_<sequence>.json in the "
-        "current directory)",
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: tiny scales, no 1M-budget / engine / "
-        "service probes",
-    )
-    bench_parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if the event kernel is slower than naive or a "
-        "metric regressed past the threshold",
-    )
-    bench_parser.add_argument(
-        "--threshold", type=float, default=None, metavar="RATIO",
-        help="normalized-slowdown regression threshold (default 1.30)",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     lint_parser = sub.add_parser(
         "lint", help="run simlint, the static simulator-invariant "

@@ -7,7 +7,7 @@ runs as a real OS process (``python -m repro.cli coordinator`` /
 expiry and redelivery machinery a production deployment would rely on.
 
 :class:`LocalCluster` is the programmatic face (a context manager the
-tests and the bench suite drive); :func:`run_local_cluster` wraps it
+tests drive); :func:`run_local_cluster` wraps it
 for the CLI, forwarding SIGTERM/SIGINT to the children.
 """
 

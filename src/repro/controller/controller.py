@@ -178,17 +178,13 @@ class MemoryController:
         write_drain_low: int = 8,
         page_policy: str = "open",
         refresh_enabled: bool = False,
-        fast_path: "bool | None" = None,
     ) -> None:
         """Create the controller.
 
-        Args:
-            fast_path: Use the cached candidate scans (the ``event``
-                kernel) instead of eager per-tick scans (``naive``).
-                ``None`` (default) defers to the ``STFM_SIM_KERNEL``
-                environment toggle.  Both paths are bit-identical; the
-                naive path is kept as the differential-testing oracle
-                (DESIGN.md §3.14).
+        The ``STFM_SIM_KERNEL`` environment toggle selects the cached
+        candidate scans (``event``, the default) or eager per-tick scans
+        (``naive``).  Both paths are bit-identical; the naive path is
+        kept as the differential-testing oracle (DESIGN.md §3.14).
         """
         if page_policy not in ("open", "closed"):
             raise ValueError("page_policy must be 'open' or 'closed'")
@@ -237,13 +233,11 @@ class MemoryController:
         # Candidate caches for the cached-scan path.  The invalidation
         # hooks in submit/_issue/_refresh are O(1) and run on both paths,
         # so the caches are coherent whichever path is selected.
-        if fast_path is None:
-            # Imported lazily: repro.sim's package __init__ pulls in
-            # modules that import this one.
-            from repro.sim.kernel import event_kernel_enabled
+        # Imported lazily: repro.sim's package __init__ pulls in modules
+        # that import this one.
+        from repro.sim.kernel import event_kernel_enabled
 
-            fast_path = event_kernel_enabled()
-        self._fast_path = fast_path
+        self._fast_path = event_kernel_enabled()
         self._scan_caches = [
             _BankCandidateCache(mapper.num_banks)
             for _ in range(mapper.num_channels)

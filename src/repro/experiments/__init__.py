@@ -6,8 +6,7 @@ registry maps experiment ids (``fig1`` ... ``fig15``, ``table3``,
 
     python -m repro.cli run fig6 --scale small
 
-or the pytest-benchmark wrappers in ``benchmarks/`` to regenerate a
-paper figure/table.  Scales control instruction budgets and sweep sample
+to regenerate a paper figure/table.  Scales control instruction budgets and sweep sample
 counts (see :data:`repro.experiments.base.SCALES`).
 """
 

@@ -23,7 +23,7 @@ class Scale:
 
 
 #: Named scales.  ``tiny`` is for unit tests, ``small`` for interactive
-#: iteration and pytest-benchmark, ``medium`` for overnight sweeps,
+#: iteration, ``medium`` for overnight sweeps,
 #: ``paper`` approaches the paper's methodology (still far below its
 #: 100M-instruction SimPoints — see EXPERIMENTS.md).
 SCALES: dict[str, Scale] = {

@@ -84,10 +84,9 @@ class ExperimentRunner:
             timeout=timeout,
             retries=retries,
         )
-        # Identity caches on top of the engine's payload caches: repeat
-        # calls return the *same* trace / snapshot objects.
+        # Identity cache on top of the engine's payload caches: repeat
+        # calls return the *same* snapshot objects.
         self._alone_cache: dict[str, CoreSnapshot] = {}
-        self._trace_cache: dict[tuple, object] = {}
 
     @property
     def report(self):
@@ -117,24 +116,16 @@ class ExperimentRunner:
         self, name: "str | BenchmarkSpec", partition: int, num_partitions: int
     ):
         spec = resolve_spec(name)
-        budget = self.budget_for(spec)
-        # The key carries everything the trace depends on — budget, seed
-        # and memory system included — so entries stay valid if shared.
-        key = (
+        # build_trace memoizes per process: repeat calls return the same
+        # trace object until its bounded memo is cleared.
+        return build_trace(
+            self.config,
+            self.seed,
             spec,
+            self.budget_for(spec),
             partition,
             num_partitions,
-            budget,
-            self.seed,
-            self.config.memory_key(),
         )
-        trace = self._trace_cache.get(key)
-        if trace is None:
-            trace = build_trace(
-                self.config, self.seed, spec, budget, partition, num_partitions
-            )
-            self._trace_cache[key] = trace
-        return trace
 
     # -- alone baselines ------------------------------------------------------
     def alone_snapshot(

@@ -19,6 +19,8 @@ import random
 import pytest
 
 from repro.analysis.protocol import ProtocolSanitizer
+from repro.controller import controller as controller_module
+from repro.dram.commands import CommandCandidate
 from repro.engine.jobs import build_trace
 from repro.schedulers import make_policy
 from repro.schedulers.frfcfs_cap import FrFcfsCapPolicy
@@ -354,6 +356,43 @@ def test_every_dram_cycle_is_live(monkeypatch, kernel):
     assert system.now > 0
     assert len(calls) == system.now // quantum
     assert calls == list(range(0, system.now, quantum))
+
+
+@pytest.mark.parametrize("policy_name", ["fr-fcfs", "stfm"])
+def test_cached_scans_build_fewer_candidates(monkeypatch, policy_name):
+    """The cached scans' reason to exist, measured in work rather than
+    wall time: on a memory-intensive mix they construct strictly fewer
+    ``CommandCandidate`` objects than the eager scans, while issuing the
+    same commands over the same cycles."""
+    built = {}
+
+    class CountingCandidate(CommandCandidate):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built[kernel_name()] = built.get(kernel_name(), 0) + 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(controller_module, "CommandCandidate", CountingCandidate)
+    specs = [
+        benchmark(name) for name in ("mcf", "libquantum", "GemsFDTD", "astar")
+    ]
+    runs = {
+        kernel: simulate(
+            monkeypatch,
+            kernel,
+            specs,
+            policy_name,
+            budget=3_000,
+            refresh=False,
+            mlp_limits=[spec.mlp for spec in specs],
+        )
+        for kernel in ("event", "naive")
+    }
+    for field in ("commands_issued", "now", "snapshots"):
+        assert runs["event"][field] == runs["naive"][field], field
+    assert runs["event"]["commands_issued"] > 0
+    assert 0 < built["event"] < built["naive"]
 
 
 def test_naive_escape_hatch_selects_naive(monkeypatch):

@@ -8,10 +8,16 @@ from repro.experiments.base import resolve_scale
 #: A stripped-down scale so the whole registry runs in CI time.
 SUPER_TINY = Scale(budget=2_000, samples=1)
 
-#: Experiments cheap enough to execute in the unit-test suite.  The
-#: heavyweight sweeps (fig5/9/11/12, table3/5) are covered structurally
-#: here and exercised for real by the pytest-benchmark harness.
+#: Experiments cheap enough to execute in the unit-test suite.
 FAST_IDS = ["fig1", "fig3", "fig6", "fig7", "fig8", "fig14", "fig15"]
+
+#: The heavyweight sweeps and extension studies, run end to end only on
+#: request (``pytest -m slow``).
+SLOW_IDS = [
+    "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "table3", "table5",
+    "attack", "ablate-gamma", "ablate-interval", "ablate-estimator",
+    "ablate-cap", "ablate-page-policy", "ablate-refresh", "extension-parbs",
+]
 
 
 class TestScales:
@@ -60,7 +66,11 @@ class TestRegistry:
             run_experiment("fig99")
 
 
-@pytest.mark.parametrize("experiment_id", FAST_IDS)
+@pytest.mark.parametrize(
+    "experiment_id",
+    FAST_IDS
+    + [pytest.param(id_, marks=pytest.mark.slow) for id_ in SLOW_IDS],
+)
 def test_experiment_runs_and_is_well_formed(experiment_id):
     result = run_experiment(experiment_id, scale=SUPER_TINY)
     assert result.experiment_id == experiment_id

@@ -1,8 +1,8 @@
 """Structural checks of the heavier sweep experiments at minimal scale.
 
 These validate plumbing (row shapes, aggregation, labels) without
-paying full sweep runtimes; the real regeneration happens in
-``benchmarks/``.
+paying full sweep runtimes; the end-to-end regeneration of each id is
+the slow-marked part of ``tests/test_experiments.py``.
 """
 
 import pytest
